@@ -92,11 +92,11 @@ def main() -> int:
         metrics = client.metrics()
         assert metrics["registry"]["calibrations"] == 1, "calibrated once"
         assert metrics["requests"]["total"] >= 5
-        assert metrics["batching"]["queries"] >= 15
+        assert metrics["compiled"]["table_queries"] >= 15
         print(
             f"metrics: {metrics['requests']['total']} requests, "
             f"{metrics['registry']['hits']} registry hits, "
-            f"{metrics['batching']['batches']} batches"
+            f"{metrics['compiled']['table_queries']} table queries"
         )
     finally:
         if proc.poll() is None:

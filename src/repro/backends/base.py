@@ -14,7 +14,8 @@ model?" as a parameter:
 * :class:`CalibratedBackend` — one calibrated instance, answering the
   exact query surface of
   :class:`~repro.core.placement.PlacementModel` (``predict`` /
-  ``predict_batch`` / ``predict_grid`` plus the scalar curve lookups),
+  ``predict_batch`` / ``predict_columns`` / ``predict_grid`` plus the
+  scalar curve lookups),
   so the advisor and :func:`~repro.evaluation.metrics.placement_errors`
   work on any backend unchanged;
 * :class:`TwoInstantiationBackend` — shared scaffolding for backends
@@ -35,7 +36,11 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.evaluation import as_core_counts
-from repro.core.placement import PlacementPrediction, PointPrediction
+from repro.core.placement import (
+    POINT_COLUMNS,
+    PlacementPrediction,
+    PointPrediction,
+)
 from repro.errors import ModelError, PlacementError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -206,6 +211,17 @@ class CalibratedBackend(abc.ABC):
                     comm_alone=float(pred.comm_alone),
                 )
         return [results[i] for i in range(len(queries))]
+
+    def predict_columns(
+        self, queries: Sequence[tuple[int, int, int]]
+    ) -> dict[str, np.ndarray]:
+        """:meth:`predict_batch` as one array per :data:`POINT_COLUMNS`
+        entry — the columnar surface the service answers from."""
+        points = self.predict_batch(queries)
+        return {
+            name: np.array([getattr(p, name) for p in points])
+            for name in POINT_COLUMNS
+        }
 
     # ---- evaluation ------------------------------------------------------------
 

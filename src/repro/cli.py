@@ -495,10 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-flight requests beyond this are answered 503",
     )
     p_serve.add_argument(
-        "--no-batching", action="store_true",
-        help="disable coalescing of concurrent scalar predictions",
-    )
-    p_serve.add_argument(
         "--preload",
         action="append",
         default=[],
@@ -1303,7 +1299,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             port=args.port,
             request_timeout_s=args.timeout,
             max_concurrency=args.max_concurrency,
-            batching=not args.no_batching,
             cache_dir=str(cache_dir) if cache_dir is not None else None,
         )
         if preload_keys:
@@ -1324,8 +1319,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         print(
             f"serving contention predictions on "
             f"http://{service.host}:{service.port} "
-            f"(seed-keyed registry, batching "
-            f"{'off' if args.no_batching else 'on'})",
+            "(seed-keyed registry)",
             flush=True,
         )
         try:

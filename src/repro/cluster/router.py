@@ -39,11 +39,7 @@ from repro.cluster.pool import WorkerPool
 from repro.errors import ClusterError, ServiceError
 from repro.obs import merge_tracing_snapshots
 from repro.service import protocol
-from repro.service.http11 import (
-    HttpError,
-    read_request,
-    write_response,
-)
+from repro.service.http11 import HttpError, HttpServer
 
 __all__ = ["ClusterRouter", "RouterMetrics"]
 
@@ -118,9 +114,8 @@ class ClusterRouter:
         self._port = port
         self._forward_timeout_s = forward_timeout_s
         self._health_interval_s = health_interval_s
-        self._server: asyncio.base_events.Server | None = None
+        self._http = HttpServer(self._handle)
         self._health_task: asyncio.Task | None = None
-        self._connections: set[asyncio.Task] = set()
         self._shutdown = asyncio.Event()
         self._started_at = time.monotonic()
 
@@ -132,15 +127,14 @@ class ClusterRouter:
 
     @property
     def port(self) -> int:
-        if self._server is None:
+        port = self._http.port
+        if port is None:
             raise ClusterError("router is not started")
-        return self._server.sockets[0].getsockname()[1]
+        return port
 
     async def start(self) -> None:
         self._started_at = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port
-        )
+        await self._http.start(self._host, self._port)
         if self._health_interval_s > 0:
             self._health_task = asyncio.get_running_loop().create_task(
                 self._health_loop()
@@ -153,7 +147,7 @@ class ClusterRouter:
         )
 
     async def run_until_shutdown(self) -> None:
-        if self._server is None:
+        if self._http.port is None:
             await self.start()
         await self._shutdown.wait()
 
@@ -168,16 +162,7 @@ class ClusterRouter:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        pending = {t for t in self._connections if not t.done()}
-        if pending:
-            _, stragglers = await asyncio.wait(pending, timeout=10.0)
-            for task in stragglers:
-                task.cancel()
-            if stragglers:
-                await asyncio.gather(*stragglers, return_exceptions=True)
+        await self._http.close(drain_timeout_s=10.0)
         await self._pool.aclose()
         self._shutdown.set()
 
@@ -202,51 +187,14 @@ class ClusterRouter:
                 else:
                     self.metrics.workers_retired += 1
 
-    # ---- connection handling ---------------------------------------------------
+    # ---- request dispatch ------------------------------------------------------
 
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer)
-        )
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            # Same keep-alive loop as the single-process service: honour
-            # explicit keep-alive clients, close after one exchange
-            # otherwise.
-            while True:
-                try:
-                    method, path, body, keep_alive = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer,
-                        exc.status,
-                        protocol.error_payload(
-                            ServiceError(str(exc)), status=exc.status
-                        ),
-                    )
-                    return
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return
-                status, payload = await self._dispatch(method, path, body)
-                self.metrics.observe(path.lstrip("/") or "_root", status)
-                await write_response(
-                    writer, status, payload, keep_alive=keep_alive
-                )
-                if not keep_alive:
-                    return
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    async def _handle(
+        self, method: str, path: str, body: bytes
+    ) -> tuple[int, "dict | bytes"]:
+        status, payload = await self._dispatch(method, path, body)
+        self.metrics.observe(path.lstrip("/") or "_root", status)
+        return status, payload
 
     async def _dispatch(
         self, method: str, path: str, body: bytes

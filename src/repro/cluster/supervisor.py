@@ -119,7 +119,6 @@ class Supervisor:
         request_timeout_s: float = 30.0,
         max_concurrency: int = 64,
         max_restarts: int = 3,
-        batching: bool = True,
     ) -> None:
         if workers < 1:
             raise ClusterError(f"need at least 1 worker, got {workers}")
@@ -142,7 +141,6 @@ class Supervisor:
         self._request_timeout_s = request_timeout_s
         self._max_concurrency = max_concurrency
         self._max_restarts = max_restarts
-        self._batching = batching
         worker_ids = [f"w{i}" for i in range(workers)]
         self.shardmap = ShardMap(worker_ids, replication=replication)
         self._handles: dict[str, WorkerHandle] = {}
@@ -233,8 +231,6 @@ class Supervisor:
             "--max-concurrency",
             str(self._max_concurrency),
         ]
-        if not self._batching:
-            command.append("--no-batching")
         for entry_id in self.backend_artifacts_for(handle.worker_id):
             command += ["--prefetch-artifact", entry_id]
         for platform, seed in self.preload_keys_for(handle.worker_id):

@@ -10,11 +10,11 @@ live model uses, so the tables are bit-identical to both
 :class:`~repro.core.oracle.ScalarOracle` — and then answers hot-path
 queries by pure fancy-indexed lookup:
 
-* ``predict`` / ``predict_batch`` — :class:`PointPrediction` results,
-  bit-identical to the live model, no evaluator probe per query;
 * ``predict_columns`` — the zero-object columnar path: one vectorized
   validation pass + four fancy-indexed gathers, returning raw arrays
-  (what the service bulk endpoint serializes from);
+  (what the service's ``/predict`` serializes from);
+* ``predict`` / ``predict_batch`` — the same columns wrapped as
+  :class:`PointPrediction` results, bit-identical to the live model;
 * ``predict_grid`` — per-placement rows sliced straight out of the
   table.
 
@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.evaluation import as_core_counts
 from repro.core.parameters import ModelParameters
 from repro.core.placement import (
+    POINT_COLUMNS,
     PlacementModel,
     PlacementPrediction,
     PointPrediction,
@@ -243,12 +244,10 @@ class CompiledModel:
 
     def _coerce_queries(
         self, queries: Sequence[tuple[int, int, int]]
-    ) -> tuple[np.ndarray, np.ndarray, bool]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized validation of a query batch.
 
-        Returns ``(ns, rows, in_table)`` where ``rows`` are placement
-        row indices and ``in_table`` is False when any ``n`` exceeds
-        the compiled range (caller falls back to the live model).
+        Returns ``(ns, rows)`` where ``rows`` are placement row indices.
         """
         arr = np.asarray(queries)
         if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
@@ -291,7 +290,7 @@ class CompiledModel:
                 f"(machine has {k} nodes), got "
                 f"({int(m_comp[index])}, {int(m_comm[index])})"
             )
-        return ns, m_comp * k + m_comm, bool(np.all(ns <= self._n_max))
+        return ns, m_comp * k + m_comm
 
     def predict(self, n: int, m_comp: int, m_comm: int) -> PointPrediction:
         """One scalar query, answered from the table."""
@@ -300,35 +299,15 @@ class CompiledModel:
     def predict_batch(
         self, queries: Sequence[tuple[int, int, int]]
     ) -> list[PointPrediction]:
-        """Bulk scalar queries, each one a table lookup.
+        """Bulk scalar queries as :class:`PointPrediction` objects.
 
-        Bit-identical to :meth:`PlacementModel.predict_batch`; queries
-        beyond ``n_max`` delegate the whole batch to the live model.
+        Bit-identical to :meth:`PlacementModel.predict_batch`: the
+        objects wrap the columns of :meth:`predict_columns`.
         """
-        ns, rows, in_table = self._coerce_queries(queries)
-        if not in_table:
-            return self.placement_model().predict_batch(
-                [(int(n), int(r) // self._n_numa_nodes,
-                  int(r) % self._n_numa_nodes)
-                 for n, r in zip(ns, rows)]
-            )
-        t = self._tables
-        comp_par = t[0, rows, ns]
-        comm_par = t[1, rows, ns]
-        comp_alone = t[2, rows, ns]
-        comm_alone = self._comm_alone[rows]
-        k = self._n_numa_nodes
+        cols = self.predict_columns(queries)
         return [
-            PointPrediction(
-                n=int(ns[i]),
-                m_comp=int(rows[i]) // k,
-                m_comm=int(rows[i]) % k,
-                comp_parallel=float(comp_par[i]),
-                comm_parallel=float(comm_par[i]),
-                comp_alone=float(comp_alone[i]),
-                comm_alone=float(comm_alone[i]),
-            )
-            for i in range(len(ns))
+            PointPrediction(*row)
+            for row in zip(*(cols[name].tolist() for name in POINT_COLUMNS))
         ]
 
     def predict_columns(
@@ -337,38 +316,34 @@ class CompiledModel:
         """The zero-object columnar path: raw answer arrays, no
         :class:`PointPrediction` objects on the hot path.
 
-        Returns ``n``/``m_comp``/``m_comm`` echo columns plus the four
-        answer columns, all 1-D arrays in query order — exactly the
-        values :meth:`predict_batch` would wrap, produced by four
-        fancy-indexed gathers.
+        Returns the :data:`POINT_COLUMNS` as 1-D arrays in query order,
+        produced by four fancy-indexed gathers.  Queries beyond
+        ``n_max`` are gathered at ``n_max`` and then overwritten with
+        the live model's answers, so only they pay for the evaluator.
         """
-        ns, rows, in_table = self._coerce_queries(queries)
-        if not in_table:
-            points = self.predict_batch(queries)
-            return {
-                "n": np.array([p.n for p in points], dtype=np.int64),
-                "m_comp": np.array([p.m_comp for p in points], dtype=np.int64),
-                "m_comm": np.array([p.m_comm for p in points], dtype=np.int64),
-                "comp_parallel": np.array(
-                    [p.comp_parallel for p in points]
-                ),
-                "comm_parallel": np.array(
-                    [p.comm_parallel for p in points]
-                ),
-                "comp_alone": np.array([p.comp_alone for p in points]),
-                "comm_alone": np.array([p.comm_alone for p in points]),
-            }
+        ns, rows = self._coerce_queries(queries)
+        beyond = np.flatnonzero(ns > self._n_max)
+        at = np.minimum(ns, self._n_max) if beyond.size else ns
         t = self._tables
         k = self._n_numa_nodes
-        return {
+        cols = {
             "n": ns,
             "m_comp": rows // k,
             "m_comm": rows % k,
-            "comp_parallel": t[0, rows, ns],
-            "comm_parallel": t[1, rows, ns],
-            "comp_alone": t[2, rows, ns],
+            "comp_parallel": t[0, rows, at],
+            "comm_parallel": t[1, rows, at],
+            "comp_alone": t[2, rows, at],
             "comm_alone": self._comm_alone[rows],
         }
+        if beyond.size:
+            live = self.placement_model().predict_batch(
+                [(int(ns[i]), int(rows[i]) // k, int(rows[i]) % k)
+                 for i in beyond]
+            )
+            # ``comm_alone`` does not depend on ``n``: the table holds it.
+            for curve in _CURVES:
+                cols[curve][beyond] = [getattr(p, curve) for p in live]
+        return cols
 
     def predict_grid(
         self,

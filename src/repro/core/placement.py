@@ -20,7 +20,7 @@ every placement of a machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +30,12 @@ from repro.core.model import ContentionModel
 from repro.core.parameters import ModelParameters
 from repro.errors import PlacementError
 
-__all__ = ["PlacementModel", "PlacementPrediction", "PointPrediction"]
+__all__ = [
+    "POINT_COLUMNS",
+    "PlacementModel",
+    "PlacementPrediction",
+    "PointPrediction",
+]
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,11 @@ class PointPrediction:
             "comp_alone": self.comp_alone,
             "comm_alone": self.comm_alone,
         }
+
+
+#: :class:`PointPrediction` fields in order: the keys of ``to_dict`` and
+#: the columns every ``predict_columns`` returns.
+POINT_COLUMNS = tuple(f.name for f in fields(PointPrediction))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ query service:
   ``healthz`` / ``metrics``);
 * :mod:`repro.service.registry` — LRU-bounded, single-flight cache of
   calibrated :class:`~repro.core.placement.PlacementModel` instances;
-* :mod:`repro.service.batching` — coalesces concurrent scalar
-  predictions into one vectorized ``predict_batch`` pass;
 * :mod:`repro.service.metrics` — counters and latency histograms
   behind ``/metrics``;
 * :mod:`repro.service.client` — the blocking client used by
@@ -22,7 +20,6 @@ Start one with ``python -m repro serve --port 8080`` and query it with
 HTTP client (see ``docs/SERVICE.md``).
 """
 
-from repro.service.batching import PredictBatcher
 from repro.service.client import ServiceClient, ServiceResponseError
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import ModelEntry, ModelKey, ModelRegistry
@@ -33,7 +30,6 @@ __all__ = [
     "ModelEntry",
     "ModelKey",
     "ModelRegistry",
-    "PredictBatcher",
     "ServiceClient",
     "ServiceMetrics",
     "ServiceResponseError",

@@ -13,11 +13,11 @@ streams across forwards.
 Three parties speak this dialect:
 
 * :class:`~repro.service.server.ContentionService` — the worker-side
-  server (``read_request`` / ``write_response``);
-* :class:`~repro.cluster.router.ClusterRouter` — both sides: it reads
-  client requests with ``read_request`` and forwards them to workers
-  through a :class:`~repro.cluster.pool.WorkerPool` of keep-alive
-  streams (:func:`encode_request` / :func:`read_response`);
+  server, whose connections run on an :class:`HttpServer`;
+* :class:`~repro.cluster.router.ClusterRouter` — both sides: its client
+  connections run on an :class:`HttpServer` too, and it forwards
+  requests to workers through a :class:`~repro.cluster.pool.WorkerPool`
+  of keep-alive streams (:func:`encode_request` / :func:`read_response`);
 * the stdlib ``http.client`` used by :class:`ServiceClient`, which
   interoperates because this *is* plain HTTP/1.1.
 """
@@ -26,9 +26,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+from typing import Awaitable, Callable
+
+from repro.errors import ServiceError
+from repro.service.protocol import error_payload
 
 __all__ = [
     "HttpError",
+    "HttpServer",
     "MAX_BODY_BYTES",
     "MAX_HEADER_LINES",
     "REASONS",
@@ -63,6 +68,18 @@ class HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _content_length(value: str, status: int) -> int:
+    """A ``Content-Length`` value; anything but a non-negative integer
+    is a framing error reported with ``status``."""
+    try:
+        length = int(value.strip())
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise HttpError(status, "invalid Content-Length")
+    return length
 
 
 # ---- server half -----------------------------------------------------------------
@@ -101,10 +118,7 @@ async def read_request(
         name, _, value = line.partition(":")
         header = name.strip().lower()
         if header == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise HttpError(400, "invalid Content-Length") from None
+            content_length = _content_length(value, 400)
         elif header == "connection":
             keep_alive = value.strip().lower() == "keep-alive"
     else:
@@ -154,6 +168,108 @@ async def write_response(
         pass  # client went away; nothing to salvage
 
 
+#: ``handle(method, path, body) -> (status, payload)`` of an HttpServer.
+Handler = Callable[[str, str, bytes], Awaitable[tuple[int, "dict | bytes"]]]
+
+
+class HttpServer:
+    """The keep-alive connection loop and graceful drain shared by the
+    service and the router.
+
+    ``handle`` answers one parsed request.  A connection is *idle* while
+    it waits for its next request and *busy* from a request read in
+    full until its response is written.  :meth:`close` stops accepting,
+    closes idle connections at once, lets busy ones finish their
+    exchange (answered with ``Connection: close``) and cancels those
+    still busy after ``drain_timeout_s``.
+    """
+
+    def __init__(self, handle: Handler) -> None:
+        self._handle = handle
+        self._server: asyncio.base_events.Server | None = None
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.Task] = set()
+        self._closing = False
+
+    @property
+    def port(self) -> int | None:
+        """The bound port (useful with ``port=0``); ``None`` if unstarted."""
+        if self._server is None:
+            return None
+        return self._server.sockets[0].getsockname()[1]
+
+    async def start(self, host: str, port: int) -> None:
+        self._server = await asyncio.start_server(
+            self._on_connection, host, port
+        )
+
+    async def close(self, drain_timeout_s: float) -> None:
+        """Stop accepting, drain busy connections, drop idle ones."""
+        if self._server is not None:
+            self._server.close()
+        self._closing = True
+        for task in self._idle:
+            task.cancel()
+        pending = {t for t in self._connections if not t.done()}
+        if pending:
+            _, stragglers = await asyncio.wait(
+                pending, timeout=drain_timeout_s
+            )
+            for task in stragglers:
+                task.cancel()
+            if stragglers:
+                await asyncio.gather(*stragglers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+
+    def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.get_running_loop().create_task(
+            self._serve_connection(reader, writer)
+        )
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        try:
+            # Serve requests until the client closes or stops asking for
+            # keep-alive; one-shot clients exit the loop after one turn.
+            while not self._closing:
+                self._idle.add(task)
+                try:
+                    method, path, body, keep_alive = await read_request(reader)
+                except HttpError as exc:
+                    await write_response(
+                        writer,
+                        exc.status,
+                        error_payload(
+                            ServiceError(str(exc)), status=exc.status
+                        ),
+                    )
+                    return
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return  # client went away mid-request or between requests
+                finally:
+                    self._idle.discard(task)
+                status, payload = await self._handle(method, path, body)
+                keep_alive = keep_alive and not self._closing
+                await write_response(
+                    writer, status, payload, keep_alive=keep_alive
+                )
+                if not keep_alive:
+                    return
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+
 # ---- client half (used by the router to reach workers) ---------------------------
 
 
@@ -201,10 +317,7 @@ async def read_response(
         name, _, value = line.partition(":")
         header = name.strip().lower()
         if header == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise HttpError(502, "invalid Content-Length") from None
+            content_length = _content_length(value, 502)
         elif header == "connection":
             reusable = value.strip().lower() == "keep-alive"
     else:

@@ -1,7 +1,7 @@
-"""Service instrumentation: counters, histograms, registry/batch stats.
+"""Service instrumentation: counters, histograms, registry/kernel stats.
 
-A single :class:`ServiceMetrics` instance is shared by the server, the
-model registry and the request batcher.  The server runs on one asyncio
+A single :class:`ServiceMetrics` instance is shared by the server and
+the model registry.  The server runs on one asyncio
 event loop, so plain attribute updates are race-free; the snapshot the
 ``/metrics`` endpoint serves is a pure-data dict that json.dumps can
 encode directly.
@@ -58,16 +58,11 @@ class ServiceMetrics:
         #: Entries hydrated synchronously by ``ModelRegistry.preload``
         #: (a subset of ``calibrations_total``).
         self.preloads_total = 0
-        # Batching.
-        self.batches_total = 0
-        self.batched_queries_total = 0
-        #: batch size -> number of batches of that size
-        self.batch_sizes: dict[int, int] = {}
         # Compiled prediction kernel.
         #: Queries answered from a compiled model's dense tables.
         self.compiled_queries_total = 0
-        #: Queries answered by the live evaluator (no compiled model,
-        #: or a core count beyond the compiled range).
+        #: Queries the compiled model answered from its live evaluator
+        #: (a core count beyond the compiled range).
         self.evaluator_queries_total = 0
         # Model backends.
         #: backend id -> queries served by that backend.  The default
@@ -106,11 +101,6 @@ class ServiceMetrics:
             self.backend_queries.get(backend, 0) + queries
         )
 
-    def observe_batch(self, size: int) -> None:
-        self.batches_total += 1
-        self.batched_queries_total += size
-        self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
-
     # ---- snapshot --------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -144,11 +134,6 @@ class ServiceMetrics:
                 "calibrations": self.calibrations_total,
                 "preloads": self.preloads_total,
             },
-            "batching": {
-                "batches": self.batches_total,
-                "queries": self.batched_queries_total,
-                "sizes": {str(k): v for k, v in sorted(self.batch_sizes.items())},
-            },
             "compiled": {
                 "table_queries": self.compiled_queries_total,
                 "evaluator_queries": self.evaluator_queries_total,
@@ -159,6 +144,6 @@ class ServiceMetrics:
                 },
             },
             # Per-span-name timing of the active tracer (requests,
-            # batches, calibrations); {"enabled": False} when off.
+            # predictions, calibrations); {"enabled": False} when off.
             "tracing": tracing_snapshot(),
         }

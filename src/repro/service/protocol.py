@@ -11,8 +11,6 @@ garbage" (4xx) from "the model refused" (422) from "the service broke"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import (
     AdvisorError,
     BenchmarkError,
@@ -24,7 +22,6 @@ from repro.errors import (
 )
 
 __all__ = [
-    "PredictQuery",
     "error_payload",
     "http_status_for",
     "is_victim_advise",
@@ -128,25 +125,14 @@ def _backend(body: dict) -> str | None:
 # ---- per-endpoint parsers -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredictQuery:
-    """One scalar prediction query as received on the wire."""
-
-    n: int
-    m_comp: int
-    m_comm: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n, self.m_comp, self.m_comm)
-
-
-def _parse_query(obj: object, *, where: str) -> PredictQuery:
+def _parse_query(obj: object, *, where: str) -> tuple[int, int, int]:
+    """One wire query -> ``(n, m_comp, m_comm)``."""
     if not isinstance(obj, dict):
         raise ServiceError(f"{where} must be an object, got {obj!r}")
-    return PredictQuery(
-        n=_as_int(_get(obj, "n"), "n"),
-        m_comp=_as_int(_get(obj, "m_comp"), "m_comp"),
-        m_comm=_as_int(_get(obj, "m_comm"), "m_comm"),
+    return (
+        _as_int(_get(obj, "n"), "n"),
+        _as_int(_get(obj, "m_comp"), "m_comp"),
+        _as_int(_get(obj, "m_comm"), "m_comm"),
     )
 
 
@@ -157,7 +143,7 @@ def parse_calibrate(body: object) -> tuple[str, int]:
 
 def parse_predict(
     body: object,
-) -> tuple[str, int, list[PredictQuery], bool, str | None]:
+) -> tuple[str, int, list[tuple[int, int, int]], bool, str | None]:
     """``POST /predict`` -> (platform, seed, queries, is_bulk, backend).
 
     Accepts either one inline query (``n``/``m_comp``/``m_comm`` at the

@@ -56,10 +56,8 @@ class ModelKey:
 class ModelEntry:
     """One calibrated model plus the platform it belongs to.
 
-    ``compiled`` carries the model's compiled prediction kernel when
-    one exists; the hot paths (batcher, bulk predict, grid) serve from
-    its dense tables and fall back to ``model`` when it is ``None``
-    (e.g. entries produced by a custom test calibrator).
+    ``compiled`` is the model's compiled prediction kernel: ``/predict``
+    and ``/predict_grid`` answer from its dense tables.
 
     ``backends`` holds every registered model backend calibrated for
     this platform (``backend=`` request selection) and ``tournament``
@@ -71,8 +69,8 @@ class ModelEntry:
     key: ModelKey
     platform: Platform
     model: PlacementModel
+    compiled: CompiledModel
     error_average_pct: float = field(default=float("nan"))
-    compiled: CompiledModel | None = field(default=None)
     backends: "Mapping[str, CalibratedBackend] | None" = field(default=None)
     tournament: "TournamentRouter | None" = field(default=None)
 

@@ -13,7 +13,7 @@ import asyncio
 import pytest
 
 from repro.cluster.pool import WorkerPool
-from repro.service.http11 import encode_response
+from repro.service.http11 import HttpError, encode_response
 
 from tests.service.conftest import ServerThread
 
@@ -168,6 +168,28 @@ class TestFailureShapes:
             assert pool.evictions == 1
             await pool.aclose()
             await scripted.stop()
+
+        run(go())
+
+    def test_negative_content_length_is_a_502(self):
+        async def answer(reader, writer):
+            while (await reader.readline()) not in (b"\r\n", b""):
+                pass
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n")
+            await writer.drain()
+            writer.close()
+
+        async def go():
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            pool = WorkerPool()
+            with pytest.raises(HttpError) as excinfo:
+                await pool.request("127.0.0.1", port, "GET", "/x")
+            assert excinfo.value.status == 502
+            assert pool.idle_count() == 0
+            await pool.aclose()
+            server.close()
+            await server.wait_closed()
 
         run(go())
 

@@ -8,6 +8,8 @@ import pytest
 from repro.cluster.shardmap import ShardMap
 from repro.service.client import ServiceResponseError
 
+from tests.service.test_server import keep_alive_healthz, raw_exchange
+
 
 class TestRouting:
     def test_requests_reach_the_primary_owner(self, stub_fleet, router_factory):
@@ -72,6 +74,29 @@ class TestRouting:
         assert excinfo.value.status == 405
 
 
+class TestFraming:
+    def test_negative_content_length_is_a_400(self, router_factory):
+        status, body = raw_exchange(
+            router_factory().port,
+            b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: -1\r\n\r\n",
+        )
+        assert status.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"]["message"] == "invalid Content-Length"
+
+    def test_shutdown_closes_idle_keep_alive_at_once(self, router_factory):
+        thread = router_factory()
+        conn = keep_alive_healthz(thread.port)
+        try:
+            started = time.monotonic()
+            thread.stop()
+            elapsed = time.monotonic() - started
+            assert conn.sock.recv(1) == b""  # the router hung up
+        finally:
+            conn.close()
+        assert elapsed < 1.0
+
+
 class TestFailover:
     def test_dead_primary_fails_over_to_replica(
         self, stub_fleet, router_factory
@@ -118,7 +143,12 @@ class TestHealthLoop:
         thread = router_factory(health_interval_s=0.05)
         supervisor.down.add("w1")
         deadline = time.monotonic() + 5
-        while "w1" not in supervisor.respawned:
+        # respawn() runs on an executor thread; the router counts the
+        # restart only once the loop resumes, so wait for both.
+        while (
+            "w1" not in supervisor.respawned
+            or thread.router.metrics.worker_restarts < 1
+        ):
             assert time.monotonic() < deadline, "health loop never respawned"
             time.sleep(0.02)
         assert thread.router.metrics.worker_restarts >= 1

@@ -124,6 +124,8 @@ class TestFallbackAndValidation:
         assert point == model.predict_batch([(20, 0, 1)])[0]
         columns = compiled.predict_columns([(2, 0, 0), (20, 0, 1)])
         assert columns["comp_parallel"][1] == point.comp_parallel
+        mixed = [(0, 1, 0), (8, 0, 1), (9, 1, 1), (20, 0, 0), (3, 1, 0)]
+        assert compiled.predict_batch(mixed) == model.predict_batch(mixed)
         grid = compiled.predict_grid(np.arange(1, 21), [(0, 1)])
         assert np.array_equal(
             grid[(0, 1)].comp_parallel,

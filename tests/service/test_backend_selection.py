@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.compiled import CompiledModel
 from repro.core.parameters import ModelParameters
 from repro.core.placement import PlacementModel
 from repro.errors import ServiceError
@@ -176,7 +177,12 @@ class TestEntriesWithoutBackends:
             model = PlacementModel(
                 local, remote, nodes_per_socket=1, n_numa_nodes=2
             )
-            return ModelEntry(key=key, platform=None, model=model)
+            return ModelEntry(
+                key=key,
+                platform=None,
+                model=model,
+                compiled=CompiledModel.compile(model),
+            )
 
         server = server_factory(
             registry=ModelRegistry(calibrator=bare_calibrator)

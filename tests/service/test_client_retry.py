@@ -58,6 +58,12 @@ class FlakyListener:
 
     def stop(self) -> None:
         self._stopping.set()
+        # close() alone does not wake a thread blocked in accept();
+        # shutdown() makes accept() fail at once.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
         self._thread.join(5)
 

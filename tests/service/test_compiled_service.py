@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench import SweepConfig
 from repro.core import load_compiled
+from repro.core.compiled import DEFAULT_N_MAX
 from repro.evaluation import run_platform_experiment
 from repro.pipeline import ArtifactStore, config_fingerprint
 from repro.service.registry import ModelRegistry
@@ -89,6 +90,24 @@ class TestServedFromTheTable:
         assert row["comp_parallel"] == reference.model.comp_parallel(8, 0, 1)
         compiled = client.metrics()["compiled"]
         assert compiled["table_queries"] >= 1
+
+    def test_past_the_table_counts_as_evaluator_queries(
+        self, server, reference
+    ):
+        client = server.client()
+        client.calibrate(PLATFORM)
+        before = client.metrics()["compiled"]
+        n = DEFAULT_N_MAX + 1
+        row = client.predict(PLATFORM, n=n, m_comp=0, m_comm=1)
+        assert row["comp_parallel"] == reference.model.comp_parallel(n, 0, 1)
+        after = client.metrics()["compiled"]
+        assert after["evaluator_queries"] - before["evaluator_queries"] == 1
+        assert after["table_queries"] == before["table_queries"]
+        # A bulk request splits: only the row past the table is live.
+        client.predict_many(PLATFORM, [(8, 0, 1), (n, 1, 0), (4, 1, 1)])
+        final = client.metrics()["compiled"]
+        assert final["evaluator_queries"] - after["evaluator_queries"] == 1
+        assert final["table_queries"] - after["table_queries"] == 2
 
     def test_grid_matches_library(self, server, reference):
         client = server.client()

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.compiled import CompiledModel
 from repro.core.placement import PlacementModel
 from repro.core.parameters import ModelParameters
 from repro.errors import ServiceError, TopologyError
@@ -54,7 +55,12 @@ class CountingCalibrator:
         model = PlacementModel(
             LOCAL, REMOTE, nodes_per_socket=1, n_numa_nodes=2
         )
-        return ModelEntry(key=key, platform=None, model=model)
+        return ModelEntry(
+            key=key,
+            platform=None,
+            model=model,
+            compiled=CompiledModel.compile(model),
+        )
 
 
 class TestBasics:

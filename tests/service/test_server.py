@@ -1,15 +1,16 @@
 """End-to-end service tests over real TCP sockets.
 
-Covers the PR's acceptance criteria: (a) N parallel ``predict``
-requests for one platform trigger exactly one calibration, (b) batched
+Covers the service's acceptance criteria: (a) N parallel ``predict``
+requests for one platform trigger exactly one calibration, (b) served
 scalar queries return bit-identical results to direct
 ``PlacementModel.predict``, and (c) ``/metrics`` reports consistent
-request/hit/batch counters — plus timeouts, load shedding, error
+request/hit/kernel counters — plus timeouts, load shedding, error
 envelopes and graceful shutdown.
 """
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,12 +28,36 @@ from tests.service.test_registry import CountingCalibrator
 PLATFORM = "occigen"
 
 
+def raw_exchange(port: int, wire: bytes) -> tuple[bytes, bytes]:
+    """Send raw request bytes; read until the server hangs up.
+
+    Returns ``(status line, body)``.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(wire)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return head.split(b"\r\n", 1)[0], body
+
+
+def keep_alive_healthz(port: int) -> http.client.HTTPConnection:
+    """A connection that has finished one keep-alive exchange and idles."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    conn.request("GET", "/healthz", headers={"Connection": "keep-alive"})
+    response = conn.getresponse()
+    response.read()
+    assert response.status == 200
+    assert response.getheader("Connection") == "keep-alive"
+    return conn
+
+
 class TestRoundTrip:
     def test_healthz(self, server):
         health = server.client().healthz()
         assert health["status"] == "ok"
         assert health["models_cached"] == 0
-        assert health["batching"] is True
 
     def test_calibrate_then_predict_matches_library(self, server):
         client = server.client()
@@ -166,7 +191,7 @@ class TestAcceptance:
         # (a) single-flight: one calibration despite 12 parallel firsts.
         assert calibrator.calls == 1
 
-        # (b) batched answers are bit-identical to the direct model.
+        # (b) served answers are bit-identical to the direct model.
         model = registry._entries[ModelKey("henri", 0)].model
         for (n, mc, mm), served in zip(queries, results):
             assert served["comp_parallel"] == model.comp_parallel(n, mc, mm)
@@ -191,15 +216,37 @@ class TestAcceptance:
             registry_stats["hits"] + registry_stats["waits"]
             == n_clients - 1
         )
-        batching = metrics["batching"]
-        assert batching["queries"] == n_clients
-        assert batching["batches"] <= n_clients
-        assert (
-            sum(int(s) * c for s, c in batching["sizes"].items())
-            == batching["queries"]
-        )
+        assert metrics["compiled"]["table_queries"] == n_clients
+        assert metrics["compiled"]["evaluator_queries"] == 0
         latency = metrics["latency"]["predict"]
         assert latency["count"] == n_clients
+
+    def test_bad_query_fails_alone(self, server):
+        """Concurrent scalar requests are answered independently: an
+        out-of-range query fails without touching its neighbours."""
+        client = server.client()
+
+        def ask(query):
+            n, m_comp, m_comm = query
+            try:
+                return client.predict(
+                    PLATFORM, n=n, m_comp=m_comp, m_comm=m_comm
+                )
+            except ServiceResponseError as exc:
+                return exc
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            good, bad, also_good = pool.map(
+                ask, [(4, 0, 0), (4, 0, 99), (8, 1, 1)]
+            )
+        model = run_platform_experiment(
+            PLATFORM, config=SweepConfig(seed=0)
+        ).model
+        assert good["comp_parallel"] == model.comp_parallel(4, 0, 0)
+        assert isinstance(bad, ServiceResponseError)
+        assert bad.status == 422
+        assert "out of range" in bad.remote_message
+        assert also_good["comp_parallel"] == model.comp_parallel(8, 1, 1)
 
     def test_batched_bulk_equals_direct_model(self, server):
         client = server.client()
@@ -275,6 +322,60 @@ class TestOperational:
         with pytest.raises(ServiceError, match="cannot reach"):
             client.healthz()
 
+    def test_shutdown_closes_idle_keep_alive_at_once(self, server_factory):
+        server = server_factory()
+        conn = keep_alive_healthz(server.port)
+        try:
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+            assert conn.sock.recv(1) == b""  # the server hung up
+        finally:
+            conn.close()
+        assert elapsed < 1.0
+
+    def test_shutdown_finishes_in_flight_keep_alive_exchange(
+        self, server_factory
+    ):
+        calibrator = CountingCalibrator(delay_s=0.6)
+        server = server_factory(registry=ModelRegistry(calibrator=calibrator))
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        outcome = {}
+
+        def slow_request():
+            conn.request(
+                "POST",
+                "/calibrate",
+                body=json.dumps({"platform": "henri"}).encode(),
+                headers={"Connection": "keep-alive"},
+            )
+            response = conn.getresponse()
+            outcome["status"] = response.status
+            outcome["connection"] = response.getheader("Connection")
+            outcome["body"] = json.loads(response.read())
+
+        worker = threading.Thread(target=slow_request)
+        worker.start()
+        time.sleep(0.2)  # request is now in flight
+        server.stop()
+        worker.join(10)
+        conn.close()
+        assert outcome["status"] == 200
+        assert outcome["body"]["platform"] == "henri"
+        # Answered, then hung up: no further exchange on a closing server.
+        assert outcome["connection"] == "close"
+
+    def test_negative_content_length_is_a_400(self, server):
+        status, body = raw_exchange(
+            server.port,
+            b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: -1\r\n\r\n",
+        )
+        assert status.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(body)["error"]
+        assert error["status"] == 400
+        assert error["message"] == "invalid Content-Length"
+
     def test_cli_query_roundtrip(self, server, capsys):
         """`python -m repro query ...` drives a live server end to end."""
         from repro.cli import main
@@ -323,12 +424,3 @@ class TestOperational:
         )
         assert code == 11  # ServiceResponseError is a ServiceError
         assert "PlacementError" in capsys.readouterr().err
-
-    def test_batching_disabled_still_serves(self, server_factory):
-        server = server_factory(batching=False)
-        client = server.client()
-        assert client.healthz()["batching"] is False
-        served = client.predict(PLATFORM, n=4, m_comp=0, m_comm=0)
-        result = run_platform_experiment(PLATFORM, config=SweepConfig(seed=0))
-        assert served["comp_parallel"] == result.model.comp_parallel(4, 0, 0)
-        assert client.metrics()["batching"]["batches"] == 0

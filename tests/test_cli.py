@@ -398,7 +398,6 @@ class TestServeQueryParsing:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.port == 8080 and args.host == "127.0.0.1"
-        assert not args.no_batching
         assert args.cache_dir is None
 
     def test_query_requires_subcommand(self):
