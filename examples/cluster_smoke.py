@@ -29,9 +29,8 @@ import sys
 import tempfile
 import time
 
-from repro.bench import SweepConfig
-from repro.evaluation import run_platform_experiment
 from repro.service.client import ServiceClient
+from repro.service.registry import ModelRegistry
 
 PLATFORM = "occigen"
 SEED = 0
@@ -113,11 +112,11 @@ def wait_for_restart(client: ServiceClient, victim: str) -> dict:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cluster-smoke-") as cache_dir:
-        # Seed the shared store: every worker (and every restart) must
-        # warm-start from these artifacts instead of recalibrating.
-        run_platform_experiment(
-            PLATFORM, config=SweepConfig(seed=SEED), cache_dir=cache_dir
-        )
+        # Seed the shared store through the calibrator the workers run
+        # (sweep, calibration, compiled table, backends, tournament):
+        # every worker (and every restart) must warm-start from these
+        # artifacts instead of recalibrating.
+        ModelRegistry(cache_dir=cache_dir).preload([(PLATFORM, SEED)])
         seeded = artifact_entries(cache_dir)
         print(f"seeded store: {len(seeded)} artifact file(s)")
 

@@ -36,7 +36,8 @@ import numpy as np
 from repro.backends.base import CalibratedBackend, ModelBackend
 from repro.backends.registry import BACKENDS
 from repro.backends.store import load_or_calibrate
-from repro.errors import ModelError, PlacementError
+from repro.core.placement import POINT_COLUMNS
+from repro.errors import ModelError
 from repro.evaluation.metrics import mape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -520,19 +521,29 @@ class TournamentRouter(CalibratedBackend):
         self._n_numa_nodes = some.n_numa_nodes
         self._tournament = tournament
         self._calibrated = dict(calibrated)
-        #: (m_comp, m_comm) -> (low_n_max, low_winner, high_winner|None)
-        self._routes: dict[tuple[int, int], tuple[int, str, str | None]] = {}
-        for regime in tournament.regimes:
-            key = (regime.m_comp, regime.m_comm)
-            low_max, low_w, high_w = self._routes.get(key, (0, "", None))
-            if regime.band == "low":
-                self._routes[key] = (regime.n_max, regime.winner, high_w)
-            else:
-                self._routes[key] = (low_max, low_w, regime.winner)
+        self._names = list(self._calibrated)
         #: fallback for unmeasured placements: the roster's overall
         #: most-winning backend.
         counts = tournament.win_counts()
         self._default = max(counts, key=counts.get)
+        # Per placement row (``m_comp * k + m_comm``): the low band's
+        # top core count and the low/high winners as roster indices.
+        # A placement without a high band keeps its low winner above
+        # the split; an unmeasured one routes to the default.
+        k = self._n_numa_nodes
+        default = self._names.index(self._default)
+        self._low_n_max = np.zeros(k * k, dtype=np.int64)
+        self._low = np.full(k * k, default)
+        self._high = np.full(k * k, -1)
+        for regime in tournament.regimes:
+            row = regime.m_comp * k + regime.m_comm
+            winner = self._names.index(regime.winner)
+            if regime.band == "low":
+                self._low_n_max[row] = regime.n_max
+                self._low[row] = winner
+            else:
+                self._high[row] = winner
+        self._high = np.where(self._high < 0, self._low, self._high)
         self.route_counts: dict[str, int] = {}
 
     @property
@@ -553,15 +564,17 @@ class TournamentRouter(CalibratedBackend):
 
     # ---- routing ---------------------------------------------------------------
 
+    def _winners(self, ns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Roster indices of the winners of validated queries."""
+        high = ns > self._low_n_max[rows]
+        return np.where(high, self._high[rows], self._low[rows])
+
     def winner_for(self, n: int, m_comp: int, m_comm: int) -> str:
         """The backend id serving one ``(n, m_comp, m_comm)`` query."""
-        route = self._routes.get((m_comp, m_comm))
-        if route is None:
+        k = self._n_numa_nodes
+        if not (0 <= m_comp < k and 0 <= m_comm < k):
             return self._default
-        low_n_max, low_winner, high_winner = route
-        if high_winner is not None and n > low_n_max:
-            return high_winner
-        return low_winner or self._default
+        return self._names[int(self._winners(n, m_comp * k + m_comm))]
 
     def _backend_for(self, n: int, m_comp: int, m_comm: int) -> CalibratedBackend:
         winner = self.winner_for(n, m_comp, m_comm)
@@ -587,48 +600,26 @@ class TournamentRouter(CalibratedBackend):
         # n-independent: the low band's winner answers.
         return self._backend_for(0, m_comm, m_comm).comm_alone(m_comm)
 
-    def predict(
-        self,
-        core_counts: "Sequence[int] | np.ndarray",
-        m_comp: int,
-        m_comm: int,
-    ) -> "PlacementPrediction":
-        """Sweep one placement, splicing the band winners' curves."""
-        from repro.core.evaluation import as_core_counts
-        from repro.core.placement import PlacementPrediction
-
-        ns = as_core_counts(core_counts, error=PlacementError)
-        self._check_node(m_comp)
-        self._check_node(m_comm)
-        winners = [self.winner_for(int(n), m_comp, m_comm) for n in ns]
-        arrays = {
-            "comp_parallel": np.empty(ns.size, dtype=np.float64),
-            "comm_parallel": np.empty(ns.size, dtype=np.float64),
-            "comp_alone": np.empty(ns.size, dtype=np.float64),
-        }
-        comm_alone = None
-        for winner in dict.fromkeys(winners):
-            idx = np.array(
-                [i for i, w in enumerate(winners) if w == winner]
+    def predict_columns(
+        self, queries: "Sequence[tuple[int, int, int]] | np.ndarray"
+    ) -> dict[str, np.ndarray]:
+        """Route every query to its regime's winner in one vectorized
+        step, then answer each winner's share with its own
+        ``predict_columns`` (one route count per query)."""
+        ns, m_comp, m_comm = self.validate_queries(queries)
+        winners = self._winners(ns, m_comp * self._n_numa_nodes + m_comm)
+        cols = {"n": ns, "m_comp": m_comp, "m_comm": m_comm}
+        cols.update((name, np.empty(ns.size)) for name in POINT_COLUMNS[3:])
+        for winner in np.unique(winners):
+            idx = np.flatnonzero(winners == winner)
+            name = self._names[winner]
+            self.route_counts[name] = self.route_counts.get(name, 0) + idx.size
+            part = self._calibrated[name].predict_columns(
+                np.column_stack((ns[idx], m_comp[idx], m_comm[idx]))
             )
-            self.route_counts[winner] = (
-                self.route_counts.get(winner, 0) + idx.size
-            )
-            pred = self._calibrated[winner].predict(ns[idx], m_comp, m_comm)
-            arrays["comp_parallel"][idx] = pred.comp_parallel
-            arrays["comm_parallel"][idx] = pred.comm_parallel
-            arrays["comp_alone"][idx] = pred.comp_alone
-            if comm_alone is None:
-                comm_alone = float(pred.comm_alone)
-        return PlacementPrediction(
-            m_comp=m_comp,
-            m_comm=m_comm,
-            core_counts=ns,
-            comp_parallel=arrays["comp_parallel"],
-            comm_parallel=arrays["comm_parallel"],
-            comp_alone=arrays["comp_alone"],
-            comm_alone=float(comm_alone),
-        )
+            for column in POINT_COLUMNS[3:]:
+                cols[column][idx] = part[column]
+        return cols
 
     def state_dict(self) -> dict[str, Any]:
         raise ModelError(

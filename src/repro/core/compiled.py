@@ -8,15 +8,13 @@ that set once — through the exact same equation-6/7 selection path the
 live model uses, so the tables are bit-identical to both
 :class:`~repro.core.evaluation.ModelEvaluator` and the scalar
 :class:`~repro.core.oracle.ScalarOracle` — and then answers hot-path
-queries by pure fancy-indexed lookup:
-
-* ``predict_columns`` — the zero-object columnar path: one vectorized
-  validation pass + four fancy-indexed gathers, returning raw arrays
-  (what the service's ``/predict`` serializes from);
-* ``predict`` / ``predict_batch`` — the same columns wrapped as
-  :class:`PointPrediction` results, bit-identical to the live model;
-* ``predict_grid`` — per-placement rows sliced straight out of the
-  table.
+queries by pure fancy-indexed lookup.  It answers the shared
+:class:`~repro.core.placement.PlacementSurface`: ``predict_columns`` is
+its batch path — the shared validator plus four fancy-indexed gathers,
+returning raw arrays (what the service's ``/predict`` serializes from);
+``predict_grid`` slices every requested placement's rows in one gather
+and ``predict`` is its one-placement case; ``predict_batch`` is the
+surface's default built on ``predict_columns``.
 
 Queries beyond the compiled ``n_max`` fall back transparently to a
 reconstructed live model, so compilation is a pure optimisation, never
@@ -46,10 +44,9 @@ import numpy as np
 from repro.core.evaluation import as_core_counts
 from repro.core.parameters import ModelParameters
 from repro.core.placement import (
-    POINT_COLUMNS,
     PlacementModel,
     PlacementPrediction,
-    PointPrediction,
+    PlacementSurface,
 )
 from repro.errors import ModelError, PlacementError
 
@@ -91,7 +88,7 @@ _MANIFEST_FILE = "compiled.json"
 _CURVES = ("comp_parallel", "comm_parallel", "comp_alone")
 
 
-class CompiledModel:
+class CompiledModel(PlacementSurface):
     """Dense per-placement answer tables for one calibrated model.
 
     ``tables`` has shape ``(3, n_placements, n_max + 1)`` — curve ×
@@ -220,11 +217,6 @@ class CompiledModel:
     def table_bytes(self) -> int:
         return self._tables.nbytes + self._comm_alone.nbytes
 
-    def placements(self) -> list[tuple[int, int]]:
-        """Every ``(m_comp, m_comm)`` pair, in table row order."""
-        k = self._n_numa_nodes
-        return [(mc, mm) for mc in range(k) for mm in range(k)]
-
     def placement_model(self) -> PlacementModel:
         """The live model this artifact compiles (reconstructed lazily).
 
@@ -242,139 +234,81 @@ class CompiledModel:
 
     # ---- hot-path lookups ------------------------------------------------------
 
-    def _coerce_queries(
-        self, queries: Sequence[tuple[int, int, int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized validation of a query batch.
-
-        Returns ``(ns, rows)`` where ``rows`` are placement row indices.
-        """
-        arr = np.asarray(queries)
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
-            raise PlacementError(
-                "batch queries must be a non-empty sequence of "
-                "(n, m_comp, m_comm) triples"
-            )
-        if arr.dtype == np.bool_ or arr.dtype == object:
-            raise PlacementError(
-                "batch queries must be integer (n, m_comp, m_comm) triples"
-            )
-        if np.issubdtype(arr.dtype, np.floating):
-            bad = ~np.isfinite(arr) | (arr != np.floor(arr))
-            if np.any(bad):
-                index = int(np.nonzero(bad.any(axis=1))[0][0])
-                raise PlacementError(
-                    f"batch query {index}: values must be integral, got "
-                    f"{tuple(arr[index])!r}"
-                )
-            arr = arr.astype(np.int64)
-        elif not np.issubdtype(arr.dtype, np.integer):
-            raise PlacementError(
-                f"batch queries must be integers, got dtype {arr.dtype}"
-            )
-        ns = arr[:, 0].astype(np.int64)
-        m_comp = arr[:, 1].astype(np.int64)
-        m_comm = arr[:, 2].astype(np.int64)
-        if np.any(ns < 0):
-            index = int(np.nonzero(ns < 0)[0][0])
-            raise PlacementError(
-                f"batch query {index}: core count must be >= 0, "
-                f"got {int(ns[index])}"
-            )
-        k = self._n_numa_nodes
-        bad_node = (m_comp < 0) | (m_comp >= k) | (m_comm < 0) | (m_comm >= k)
-        if np.any(bad_node):
-            index = int(np.nonzero(bad_node)[0][0])
-            raise PlacementError(
-                f"batch query {index}: NUMA node out of range "
-                f"(machine has {k} nodes), got "
-                f"({int(m_comp[index])}, {int(m_comm[index])})"
-            )
-        return ns, m_comp * k + m_comm
-
-    def predict(self, n: int, m_comp: int, m_comm: int) -> PointPrediction:
-        """One scalar query, answered from the table."""
-        return self.predict_batch([(n, m_comp, m_comm)])[0]
-
-    def predict_batch(
-        self, queries: Sequence[tuple[int, int, int]]
-    ) -> list[PointPrediction]:
-        """Bulk scalar queries as :class:`PointPrediction` objects.
-
-        Bit-identical to :meth:`PlacementModel.predict_batch`: the
-        objects wrap the columns of :meth:`predict_columns`.
-        """
-        cols = self.predict_columns(queries)
-        return [
-            PointPrediction(*row)
-            for row in zip(*(cols[name].tolist() for name in POINT_COLUMNS))
+    def predict(
+        self,
+        core_counts: Sequence[int] | np.ndarray,
+        m_comp: int,
+        m_comm: int,
+    ) -> PlacementPrediction:
+        """One placement's table row sliced at ``core_counts``."""
+        return self.predict_grid(core_counts, [(m_comp, m_comm)])[
+            (m_comp, m_comm)
         ]
-
-    def predict_columns(
-        self, queries: Sequence[tuple[int, int, int]]
-    ) -> dict[str, np.ndarray]:
-        """The zero-object columnar path: raw answer arrays, no
-        :class:`PointPrediction` objects on the hot path.
-
-        Returns the :data:`POINT_COLUMNS` as 1-D arrays in query order,
-        produced by four fancy-indexed gathers.  Queries beyond
-        ``n_max`` are gathered at ``n_max`` and then overwritten with
-        the live model's answers, so only they pay for the evaluator.
-        """
-        ns, rows = self._coerce_queries(queries)
-        beyond = np.flatnonzero(ns > self._n_max)
-        at = np.minimum(ns, self._n_max) if beyond.size else ns
-        t = self._tables
-        k = self._n_numa_nodes
-        cols = {
-            "n": ns,
-            "m_comp": rows // k,
-            "m_comm": rows % k,
-            "comp_parallel": t[0, rows, at],
-            "comm_parallel": t[1, rows, at],
-            "comp_alone": t[2, rows, at],
-            "comm_alone": self._comm_alone[rows],
-        }
-        if beyond.size:
-            live = self.placement_model().predict_batch(
-                [(int(ns[i]), int(rows[i]) // k, int(rows[i]) % k)
-                 for i in beyond]
-            )
-            # ``comm_alone`` does not depend on ``n``: the table holds it.
-            for curve in _CURVES:
-                cols[curve][beyond] = [getattr(p, curve) for p in live]
-        return cols
 
     def predict_grid(
         self,
         core_counts: Sequence[int] | np.ndarray,
         placements: Iterable[tuple[int, int]] | None = None,
     ) -> dict[tuple[int, int], PlacementPrediction]:
-        """Grid sweep served by row slicing; falls back past ``n_max``."""
+        """Every placement (or the given ones) in one table gather; the
+        live model answers past ``n_max``."""
         ns = as_core_counts(core_counts, error=PlacementError)
         if int(ns.max()) > self._n_max:
             return self.placement_model().predict_grid(ns, placements)
         k = self._n_numa_nodes
         if placements is None:
-            placements = self.placements()
-        out: dict[tuple[int, int], PlacementPrediction] = {}
+            placements = [(mc, mm) for mc in range(k) for mm in range(k)]
+        placements = list(placements)
         for m_comp, m_comm in placements:
-            if not (0 <= m_comp < k and 0 <= m_comm < k):
-                raise PlacementError(
-                    f"NUMA node out of range (machine has {k} nodes): "
-                    f"({m_comp}, {m_comm})"
-                )
-            row = m_comp * k + m_comm
-            out[(m_comp, m_comm)] = PlacementPrediction(
+            self._check_node(m_comp)
+            self._check_node(m_comm)
+        rows = np.array([mc * k + mm for mc, mm in placements], dtype=np.int64)
+        curves = self._tables[:, rows[:, None], ns]
+        return {
+            (m_comp, m_comm): PlacementPrediction(
                 m_comp=m_comp,
                 m_comm=m_comm,
                 core_counts=ns,
-                comp_parallel=self._tables[0, row, ns],
-                comm_parallel=self._tables[1, row, ns],
-                comp_alone=self._tables[2, row, ns],
-                comm_alone=float(self._comm_alone[row]),
+                comp_parallel=curves[0, i],
+                comm_parallel=curves[1, i],
+                comp_alone=curves[2, i],
+                comm_alone=float(self._comm_alone[rows[i]]),
             )
-        return out
+            for i, (m_comp, m_comm) in enumerate(placements)
+        }
+
+    def predict_columns(
+        self, queries: Sequence[tuple[int, int, int]] | np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """The zero-object columnar path: the shared validator, then
+        four fancy-indexed gathers returning the :data:`POINT_COLUMNS`
+        as 1-D arrays in query order.  Queries beyond ``n_max`` are
+        gathered at ``n_max`` and then overwritten with the live
+        model's answers, so only they pay for the evaluator.
+        """
+        ns, m_comp, m_comm = self.validate_queries(queries)
+        k = self._n_numa_nodes
+        rows = m_comp * k + m_comm
+        beyond = np.flatnonzero(ns > self._n_max)
+        at = np.minimum(ns, self._n_max) if beyond.size else ns
+        t = self._tables
+        cols = {
+            "n": ns,
+            "m_comp": m_comp,
+            "m_comm": m_comm,
+            "comp_parallel": t[0, rows, at],
+            "comm_parallel": t[1, rows, at],
+            "comp_alone": t[2, rows, at],
+            "comm_alone": self._comm_alone[rows],
+        }
+        if beyond.size:
+            live = self.placement_model().predict_columns(
+                np.column_stack((ns[beyond], m_comp[beyond], m_comm[beyond]))
+            )
+            # ``comm_alone`` does not depend on ``n``: the table holds it.
+            for curve in _CURVES:
+                cols[curve][beyond] = live[curve]
+        return cols
 
     # ---- serialization ---------------------------------------------------------
 

@@ -116,6 +116,11 @@ class ContentionModel:
         """Communication bandwidth without computations (the ``B_comm_seq`` parameter)."""
         return self._p.b_comm_seq
 
+    @property
+    def b_comm_seq(self) -> float:
+        """:meth:`comm_alone` under the name placement sides share."""
+        return self._p.b_comm_seq
+
     # ---- vectorised sweeps -------------------------------------------------------
 
     def sweep(self, core_counts: "np.ndarray | list[int]") -> dict[str, np.ndarray]:

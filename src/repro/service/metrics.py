@@ -61,9 +61,6 @@ class ServiceMetrics:
         # Compiled prediction kernel.
         #: Queries answered from a compiled model's dense tables.
         self.compiled_queries_total = 0
-        #: Queries the compiled model answered from its live evaluator
-        #: (a core count beyond the compiled range).
-        self.evaluator_queries_total = 0
         # Model backends.
         #: backend id -> queries served by that backend.  The default
         #: threshold path counts under "threshold"; tournament-routed
@@ -136,7 +133,6 @@ class ServiceMetrics:
             },
             "compiled": {
                 "table_queries": self.compiled_queries_total,
-                "evaluator_queries": self.evaluator_queries_total,
             },
             "backends": {
                 "queries": {

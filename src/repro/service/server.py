@@ -28,8 +28,6 @@ import json
 import logging
 import time
 
-import numpy as np
-
 from repro.advisor import Advisor, Workload, advise_victim_placement
 from repro.core.placement import POINT_COLUMNS
 from repro.errors import ReproError, ServiceError
@@ -280,6 +278,15 @@ class ContentionService:
             body
         )
         entry = await self.registry.get(platform, seed)
+        # The table's range bounds the work one request can ask of any
+        # backend (it covers every platform's cores per socket).
+        n_max = entry.compiled.n_max
+        if max(queries)[0] > n_max:  # tuples order by ``n`` first
+            index = next(i for i, q in enumerate(queries) if q[0] > n_max)
+            raise ServiceError(
+                f"query {index}: n={queries[index][0]} exceeds the "
+                f"model's bound n_max={n_max}"
+            )
         # ``threshold`` is the default model, answered by its compiled
         # kernel; any other name selects a backend or the tournament.
         backend = backend or "threshold"
@@ -296,9 +303,7 @@ class ContentionService:
         ):
             cols = model.predict_columns(queries)
         if default:
-            beyond = int(np.count_nonzero(cols["n"] > entry.compiled.n_max))
-            self.metrics.compiled_queries_total += len(queries) - beyond
-            self.metrics.evaluator_queries_total += beyond
+            self.metrics.compiled_queries_total += len(queries)
         self._observe_backend_queries(
             entry, backend, len(queries), routes_before
         )

@@ -15,7 +15,7 @@ from repro.backends import (
     get_backend,
 )
 from repro.backends.base import sample_curves
-from repro.backends.threshold import CalibratedThreshold, ThresholdBackend
+from repro.backends.threshold import ThresholdBackend
 from repro.core.oracle import ScalarOracle
 from repro.core.placement import PlacementModel
 from repro.errors import ModelError, PlacementError
@@ -153,15 +153,16 @@ class TestThresholdBitIdentity:
             calibrated = backend.calibrate(
                 experiment.dataset, experiment.platform
             )
-            wrapped = backend.wrap(experiment.model)
             k = experiment.model.n_numa_nodes
             queries = [(n, n % k, (n + 1) % k) for n in range(N_MAX + 1)]
-            assert calibrated.predict_batch(queries) == wrapped.predict_batch(
+            assert calibrated.predict_batch(
                 queries
-            )
+            ) == experiment.model.predict_batch(queries)
 
     def test_predict_matches_the_live_model(self, henri_experiment):
-        calibrated = ThresholdBackend().wrap(henri_experiment.model)
+        calibrated = ThresholdBackend().calibrate(
+            henri_experiment.dataset, henri_experiment.platform
+        )
         ns = np.arange(1, N_MAX + 1)
         live = henri_experiment.model.predict_grid(ns)
         behind = calibrated.predict_grid(ns)
@@ -353,7 +354,10 @@ class TestProtocolValidation:
 
 class TestCalibratedThresholdSurface:
     def test_backend_id(self, henri_experiment):
-        calibrated = ThresholdBackend().wrap(henri_experiment.model)
-        assert isinstance(calibrated, CalibratedThreshold)
+        """The calibrated threshold backend is the live model itself."""
+        calibrated = ThresholdBackend().calibrate(
+            henri_experiment.dataset, henri_experiment.platform
+        )
+        assert isinstance(calibrated, PlacementModel)
         assert calibrated.backend_id == "threshold"
-        assert calibrated.model is henri_experiment.model
+        assert calibrated.model is calibrated

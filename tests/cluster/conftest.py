@@ -59,8 +59,12 @@ class StubWorker:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.port = self.server.server_address[1]
+        # A short poll keeps ``shutdown`` (and so every router test's
+        # teardown) from waiting out the default 0.5 s select timeout.
         self._thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
+            target=self.server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
         )
         self._thread.start()
 

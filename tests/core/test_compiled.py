@@ -120,7 +120,7 @@ class TestFallbackAndValidation:
     def test_past_n_max_falls_back_to_live_model(self, all_experiments):
         model = all_experiments["occigen"].model
         compiled = CompiledModel.compile(model, n_max=8)
-        point = compiled.predict(20, 0, 1)
+        point = compiled.predict_batch([(20, 0, 1)])[0]
         assert point == model.predict_batch([(20, 0, 1)])[0]
         columns = compiled.predict_columns([(2, 0, 0), (20, 0, 1)])
         assert columns["comp_parallel"][1] == point.comp_parallel
@@ -134,8 +134,7 @@ class TestFallbackAndValidation:
         )
 
     def test_rejects_malformed_batches(self, compiled):
-        with pytest.raises(PlacementError):
-            compiled.predict_batch([])
+        assert compiled.predict_batch([]) == []
         with pytest.raises(PlacementError):
             compiled.predict_batch([(1, 2)])  # not a triple
         with pytest.raises(PlacementError, match="query 1"):
@@ -293,7 +292,9 @@ class TestStoreLifecycle:
             store, "occigen", self.FINGERPRINT, model, n_max=16
         )
         # Served from the store, not recompiled from the live model.
-        assert second.predict(8, 0, 1) == first.predict(8, 0, 1)
+        assert second.predict_batch([(8, 0, 1)]) == first.predict_batch(
+            [(8, 0, 1)]
+        )
 
     def test_load_or_compile_recompiles_when_table_too_small(
         self, tmp_path, all_experiments

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compiled import CompiledModel
+from repro.core.compiled import DEFAULT_N_MAX, CompiledModel
 from repro.core.parameters import ModelParameters
 from repro.core.placement import PlacementModel
 from repro.errors import ServiceError
@@ -107,6 +107,20 @@ class TestPredictBackends:
         with pytest.raises(ServiceError) as err:
             client.predict("henri", n=4, m_comp=0, m_comm=0, backend="")
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("backend", ["langguth-threadfair", "tournament"])
+    def test_core_count_past_the_table_is_a_fast_400(self, server, backend):
+        """Langguth's cost is linear in ``n`` (~17 s at 10**7): the
+        bound is checked before any backend runs."""
+        server.client().calibrate("henri")
+        client = server.client(timeout=5.0)
+        for n in (DEFAULT_N_MAX + 1, 10**7):
+            with pytest.raises(ServiceError) as err:
+                client.predict(
+                    "henri", n=n, m_comp=0, m_comm=0, backend=backend
+                )
+            assert err.value.status == 400
+            assert f"n_max={DEFAULT_N_MAX}" in err.value.remote_message
 
 
 class TestAdviseBackends:

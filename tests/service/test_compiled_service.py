@@ -3,8 +3,9 @@
 Covers the compiled-prediction PR end to end at the service layer:
 calibration produces a compiled table (persisted when a cache dir is
 configured, in-memory otherwise), the server answers bulk and scalar
-queries out of it bit-identically to the live model, and the
-``compiled`` metrics block counts table hits vs evaluator fallbacks.
+queries out of it bit-identically to the live model, the ``compiled``
+metrics block counts table hits, and a core count past the table is a
+400.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.core import load_compiled
 from repro.core.compiled import DEFAULT_N_MAX
 from repro.evaluation import run_platform_experiment
 from repro.pipeline import ArtifactStore, config_fingerprint
+from repro.service.client import ServiceResponseError
 from repro.service.registry import ModelRegistry
 
 PLATFORM = "occigen"
@@ -29,9 +31,9 @@ class TestRegistryCompiles:
         entry = asyncio.run(registry.get(PLATFORM))
         assert entry.compiled is not None
         assert entry.compiled.n_max >= 64
-        assert entry.compiled.predict(8, 0, 1) == entry.model.predict_batch(
+        assert entry.compiled.predict_batch(
             [(8, 0, 1)]
-        )[0]
+        ) == entry.model.predict_batch([(8, 0, 1)])
 
     def test_cache_dir_persists_the_compiled_artifact(self, tmp_path):
         registry = ModelRegistry(cache_dir=tmp_path)
@@ -42,7 +44,10 @@ class TestRegistryCompiles:
             ArtifactStore(tmp_path), PLATFORM, fingerprint
         )
         assert stored is not None
-        assert stored.predict(8, 0, 1) == entry.compiled.predict(8, 0, 1)
+        query = [(8, 0, 1)]
+        assert stored.predict_batch(query) == entry.compiled.predict_batch(
+            query
+        )
 
     def test_second_registry_warm_starts_from_the_store(self, tmp_path):
         first = ModelRegistry(cache_dir=tmp_path)
@@ -53,9 +58,9 @@ class TestRegistryCompiles:
         second = ModelRegistry(cache_dir=tmp_path)
         entry = asyncio.run(second.get(PLATFORM))
         assert entry.compiled is not None
-        assert entry.compiled.predict(12, 1, 0) == entry.model.predict_batch(
+        assert entry.compiled.predict_batch(
             [(12, 1, 0)]
-        )[0]
+        ) == entry.model.predict_batch([(12, 1, 0)])
 
 
 class TestServedFromTheTable:
@@ -79,7 +84,6 @@ class TestServedFromTheTable:
             )
         compiled = client.metrics()["compiled"]
         assert compiled["table_queries"] >= len(queries)
-        assert compiled["evaluator_queries"] == 0
 
     def test_scalar_answers_come_from_the_compiled_table(
         self, server, reference
@@ -91,23 +95,22 @@ class TestServedFromTheTable:
         compiled = client.metrics()["compiled"]
         assert compiled["table_queries"] >= 1
 
-    def test_past_the_table_counts_as_evaluator_queries(
-        self, server, reference
-    ):
+    def test_past_the_table_is_a_400(self, server):
         client = server.client()
         client.calibrate(PLATFORM)
         before = client.metrics()["compiled"]
         n = DEFAULT_N_MAX + 1
-        row = client.predict(PLATFORM, n=n, m_comp=0, m_comm=1)
-        assert row["comp_parallel"] == reference.model.comp_parallel(n, 0, 1)
+        with pytest.raises(ServiceResponseError) as err:
+            client.predict(PLATFORM, n=n, m_comp=0, m_comm=1)
+        assert err.value.status == 400
+        assert f"n_max={DEFAULT_N_MAX}" in err.value.remote_message
+        # A bulk request fails whole, naming the query past the table.
+        with pytest.raises(ServiceResponseError) as err:
+            client.predict_many(PLATFORM, [(8, 0, 1), (n, 1, 0), (4, 1, 1)])
+        assert err.value.status == 400
+        assert "query 1" in err.value.remote_message
         after = client.metrics()["compiled"]
-        assert after["evaluator_queries"] - before["evaluator_queries"] == 1
         assert after["table_queries"] == before["table_queries"]
-        # A bulk request splits: only the row past the table is live.
-        client.predict_many(PLATFORM, [(8, 0, 1), (n, 1, 0), (4, 1, 1)])
-        final = client.metrics()["compiled"]
-        assert final["evaluator_queries"] - after["evaluator_queries"] == 1
-        assert final["table_queries"] - after["table_queries"] == 2
 
     def test_grid_matches_library(self, server, reference):
         client = server.client()

@@ -47,10 +47,10 @@ def library():
 @pytest.fixture(scope="module")
 def queries(library):
     k = library[None].n_numa_nodes
-    grid = [(n, mc, mm) for n in (0, 1, 7, 18) for mc in range(k)
-            for mm in range(k)]
-    # Past the compiled table: the default path's live-model fallback.
-    return grid + [(DEFAULT_N_MAX + 1, 0, k - 1)]
+    # Up to the compiled table's top row; past it /predict answers 400
+    # (tests/service/test_compiled_service.py).
+    return [(n, mc, mm) for n in (0, 1, 7, 18, DEFAULT_N_MAX)
+            for mc in range(k) for mm in range(k)]
 
 
 def _post(port: int, body: dict) -> bytes:

@@ -217,7 +217,6 @@ class TestAcceptance:
             == n_clients - 1
         )
         assert metrics["compiled"]["table_queries"] == n_clients
-        assert metrics["compiled"]["evaluator_queries"] == 0
         latency = metrics["latency"]["predict"]
         assert latency["count"] == n_clients
 
